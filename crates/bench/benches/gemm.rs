@@ -3,7 +3,7 @@
 //! Sweeps three layers of the decision-path stack:
 //!
 //! * **GEMM tiers** — the naive reference vs the blocked kernels pinned to
-//!   every available [`SimdTier`] (scalar, SSE2, AVX2, AVX2+FMA), plus the
+//!   every available [`SimdTier`] (scalar, AVX2), plus the
 //!   detected tier under worker-pool fan-out (`pool4`), for `matmul` and
 //!   the fused `matmul_transpose` at 64/128/256.
 //! * **Batched forward** — a serving-shaped MLP (32 → 64 → 64 → 9) at batch

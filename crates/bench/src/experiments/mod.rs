@@ -1,9 +1,8 @@
 //! The experiment implementations behind the harness binaries.
 //!
 //! Each public function regenerates one table or figure of the paper's
-//! evaluation section and prints it in a paper-comparable layout. Binaries
-//! in `src/bin/` are thin wrappers so `all_experiments` can run everything
-//! in-process.
+//! evaluation section and prints it in a paper-comparable layout. The
+//! `experiments` binary runs one by name, or all of them in-process.
 
 mod ablations;
 mod functionality;

@@ -3,7 +3,7 @@
 //! These rules consume the [`SyntaxFile`] token-tree pass instead of raw
 //! lines — they need call-site context (receiver paths, argument spans),
 //! statement extents (a five-line `compare_exchange` is one statement), and
-//! attached comments that survive attribute lines. See DESIGN.md §17.
+//! attached comments that survive attribute lines. See DESIGN.md §12.
 //!
 //! * **R7 `unsafe-audit`** — every `unsafe` block / fn / impl / trait must
 //!   carry a non-empty `// safety:` (or `/// # Safety`) justification.
@@ -23,20 +23,7 @@
 
 use crate::lexer::TokenKind;
 use crate::rules::{Rule, Violation};
-use crate::syntax::{ScopeKind, SyntaxFile};
-
-fn punct(f: &SyntaxFile, i: usize, s: &str) -> bool {
-    f.tokens
-        .get(i)
-        .is_some_and(|t| t.kind == TokenKind::Punct && t.text == s)
-}
-
-fn ident(f: &SyntaxFile, i: usize) -> Option<&str> {
-    f.tokens
-        .get(i)
-        .filter(|t| t.kind == TokenKind::Ident)
-        .map(|t| t.text.as_str())
-}
+use crate::syntax::{ident, punct, ScopeKind, SyntaxFile};
 
 fn violation(rel_path: &str, line0: usize, rule: Rule, msg: String) -> Violation {
     Violation { file: rel_path.to_string(), line: line0 + 1, rule, msg }
@@ -611,7 +598,7 @@ mod tests {
             Rule::AtomicOrdering => check_atomic_ordering("x.rs", &f),
             Rule::LockDiscipline => check_lock_discipline("x.rs", &f),
             Rule::ResultDiscard => check_result_discard("x.rs", &f),
-            _ => unreachable!("line rules are tested in rules.rs"),
+            _ => unreachable!("R1–R6 are tested in rules.rs"),
         }
     }
 

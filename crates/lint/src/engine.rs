@@ -1,7 +1,6 @@
 //! The workspace walker and rule driver.
 
 use crate::rules::{self, Rule, Violation};
-use crate::scan::scan_source;
 use crate::syntax::SyntaxFile;
 use std::fs;
 use std::io;
@@ -155,16 +154,6 @@ fn rel_display(root: &Path, path: &Path) -> String {
         .join("/")
 }
 
-/// Does any requested syntax rule (R7–R10) apply to this file?
-fn needs_syntax(opts: &Options, rel: &str, explicit: bool) -> bool {
-    opts.rules.iter().any(|&r| {
-        matches!(
-            r,
-            Rule::UnsafeAudit | Rule::AtomicOrdering | Rule::LockDiscipline | Rule::ResultDiscard
-        ) && (explicit || rules::in_scope(r, rel))
-    })
-}
-
 /// Run the requested rules over a file list. With `explicit`, scope filters
 /// are bypassed and `.toml` files other than `Cargo.toml` are treated as
 /// manifests (fixture support).
@@ -182,7 +171,6 @@ fn lint_files(
             *total += d;
         }
     };
-    let no_syntax = SyntaxFile::parse("");
     for path in files {
         let rel = rel_display(root, path);
         let is_manifest = rel.ends_with(".toml");
@@ -198,16 +186,8 @@ fn lint_files(
             }
             continue;
         }
-        let scanned = scan_source(&text);
-        // The token-tree pass is built once per file and shared by every
-        // syntax rule; files no syntax rule touches skip it entirely.
-        let parsed;
-        let syntax = if needs_syntax(opts, &rel, explicit) {
-            parsed = SyntaxFile::parse(&text);
-            &parsed
-        } else {
-            &no_syntax
-        };
+        // One lex and token-tree pass per file, shared by every source rule.
+        let syntax = SyntaxFile::parse(&text);
         for &rule in &opts.rules {
             if rule == Rule::Hermeticity {
                 continue;
@@ -215,7 +195,7 @@ fn lint_files(
             if explicit || rules::in_scope(rule, &rel) {
                 // wall-clock-ok: lint self-timing for the verify.sh gate
                 let t0 = std::time::Instant::now();
-                out.extend(rules::check_source(rule, &rel, &scanned, syntax));
+                out.extend(rules::check_source(rule, &rel, &syntax));
                 spent(rule, t0.elapsed());
             }
         }

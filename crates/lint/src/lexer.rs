@@ -1,12 +1,12 @@
-//! A zero-dependency Rust lexer: the full token stream underneath the
-//! token-tree rules (R7–R10).
+//! A zero-dependency Rust lexer: the token stream underneath every source
+//! rule.
 //!
-//! The PR-5 line scanner ([`crate::scan`]) blanks literals and strips
-//! comments but keeps no tokens — good enough for per-line substring rules,
-//! blind to anything that needs expression structure (which atomic call
-//! does an `Ordering::` belong to? is this `.lock()` guard still live at
-//! that `.join()`?). This module produces real tokens with line/column
-//! positions:
+//! Rules match tokens, never raw text, so string and comment contents can
+//! never look like code, and the rules that need expression structure
+//! (which atomic call does an `Ordering::` belong to? is this `.lock()`
+//! guard still live at that `.join()`?) get it from the token tree built on
+//! top ([`crate::syntax`]). This module produces real tokens with
+//! line/column positions:
 //!
 //! * identifiers — including raw identifiers (`r#type`) and keywords
 //!   (`unsafe` is just an ident here; rules decide what it means);
@@ -25,7 +25,7 @@
 //! whitespace between tokens and a newline after each line comment) and
 //! re-lexing reproduces the same `(kind, text)` sequence. The property
 //! tests in `tests/propcheck.rs` hammer this against generated token soup
-//! and cross-check the scanner's comment map against the lexer's.
+//! and real workspace sources.
 
 /// What a token is. `text` always holds the exact source slice, so e.g. a
 /// raw string keeps its `r#"…"#` fences and a doc comment keeps its

@@ -5,10 +5,11 @@
 //! by byte-identical replay across seeds, shard counts, and thread counts —
 //! and its serving core now rests on hand-rolled lock-free code and
 //! `unsafe` SIMD kernels. This crate makes both a *checked property of the
-//! sources*: a zero-dependency static-analysis tool with two passes — a
-//! fast line scanner (comment/string/attribute-aware, `#[cfg(test)]`-scoped)
-//! for R1–R6, and a full Rust lexer + token-tree/scope pass
-//! ([`lexer`]/[`syntax`]) for the R7–R10 concurrency-audit family.
+//! sources*: a zero-dependency static-analysis tool with one analysis
+//! layer. Each `.rs` file is lexed once ([`lexer`]) and given a token-tree
+//! and scope pass ([`syntax`]); every source rule reads that one
+//! [`SyntaxFile`], with its one test-scope table and its one annotation
+//! lookup. R5 checks manifest text.
 //!
 //! | rule | name | what it bans |
 //! |------|------|--------------|
@@ -23,11 +24,10 @@
 //! | R9 | `lock-discipline` | guards across blocking calls, re-locks, notify-after-release |
 //! | R10 | `result-discard` | `let _ =` / stray `.ok();` on core-path `Result`s |
 //!
-//! See DESIGN.md §12 (line rules) and §17 (token-tree pass, audit family)
-//! for each rule's rationale and the full annotation grammar
+//! See DESIGN.md §12 for each rule's rationale and the annotation grammar
 //! (`// invariant:`, `// nondet-ok:`, `// float-ok:`, `// wall-clock-ok:`,
 //! `// unwind-ok:`, `// safety:`, `// ordering:`, `// lock-ok:`,
-//! `// discard-ok:`).
+//! `// discard-ok:`, and `# hermetic-ok:` in manifests).
 //!
 //! Run it as `cargo run -p jarvis-lint -- [--quick] [--rule NAME] [--json]
 //! [--timing] [--budget-ms N] [paths…]`; output is machine-readable
@@ -38,7 +38,6 @@ pub mod audit;
 pub mod engine;
 pub mod lexer;
 pub mod rules;
-pub mod scan;
 pub mod syntax;
 
 pub use engine::{
@@ -47,5 +46,4 @@ pub use engine::{
 };
 pub use lexer::{lex, Token, TokenKind};
 pub use rules::{check_manifest, check_source, Rule, Violation};
-pub use scan::{scan_source, ScannedFile};
 pub use syntax::{Scope, ScopeKind, SyntaxFile};

@@ -6,7 +6,7 @@
 //! ```
 //!
 //! With no paths, walks the workspace (scope rules apply — see DESIGN.md
-//! §12/§17). Explicit *file* arguments are linted unconditionally with every
+//! §12). Explicit *file* arguments are linted unconditionally with every
 //! requested rule. Exit codes: 0 clean, 1 violations, 2 usage/IO error,
 //! 3 time budget exceeded.
 

@@ -1,11 +1,11 @@
-//! The lint rules. R1–R6 work on a [`ScannedFile`] (fast line scan); the
-//! R7–R10 concurrency-audit family works on a [`SyntaxFile`] (token-tree
-//! pass, see [`crate::audit`]). See DESIGN.md §12/§17 for rationale and the
+//! The lint rules. Every source rule reads one [`SyntaxFile`]: R1–R4 and
+//! R6 live here, the R7–R10 concurrency-audit family in [`crate::audit`],
+//! and R5 checks manifest text. See DESIGN.md §12 for rationale and the
 //! annotation grammar.
 
 use crate::audit;
-use crate::scan::ScannedFile;
-use crate::syntax::SyntaxFile;
+use crate::lexer::TokenKind;
+use crate::syntax::{ident, punct, SyntaxFile};
 
 /// A rule identifier, stable across output and CLI.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -189,26 +189,69 @@ pub fn in_scope(rule: Rule, rel_path: &str) -> bool {
     }
 }
 
-/// Run one source-code rule over a scanned + parsed file.
+/// Run one source rule over a parsed file.
 #[must_use]
-pub fn check_source(
+pub fn check_source(rule: Rule, rel_path: &str, f: &SyntaxFile) -> Vec<Violation> {
+    match rule {
+        Rule::NondetIter => check_nondet_iter(rel_path, f),
+        Rule::WallClock => check_wall_clock(rel_path, f),
+        Rule::Panics => check_panics(rel_path, f),
+        Rule::Float => check_float(rel_path, f),
+        Rule::Hermeticity => Vec::new(),
+        Rule::Unwind => check_unwind(rel_path, f),
+        Rule::UnsafeAudit => audit::check_unsafe_audit(rel_path, f),
+        Rule::AtomicOrdering => audit::check_atomic_ordering(rel_path, f),
+        Rule::LockDiscipline => audit::check_lock_discipline(rel_path, f),
+        Rule::ResultDiscard => audit::check_result_discard(rel_path, f),
+    }
+}
+
+/// Drive a token-pattern rule: `hit(i)` returns `(rank, msg)` when token
+/// `i` matches one of the rule's patterns. Test code is skipped, each line
+/// reports at most one finding (its lowest-ranked hit, the first on ties),
+/// and a line is dropped when it or its statement carries the rule's
+/// annotation.
+fn check_tokens(
     rule: Rule,
     rel_path: &str,
-    file: &ScannedFile,
-    syntax: &SyntaxFile,
+    f: &SyntaxFile,
+    mut hit: impl FnMut(usize) -> Option<(usize, String)>,
 ) -> Vec<Violation> {
-    match rule {
-        Rule::NondetIter => check_nondet_iter(rel_path, file),
-        Rule::WallClock => check_wall_clock(rel_path, file),
-        Rule::Panics => check_panics(rel_path, file),
-        Rule::Float => check_float(rel_path, file),
-        Rule::Hermeticity => Vec::new(),
-        Rule::Unwind => check_unwind(rel_path, file),
-        Rule::UnsafeAudit => audit::check_unsafe_audit(rel_path, syntax),
-        Rule::AtomicOrdering => audit::check_atomic_ordering(rel_path, syntax),
-        Rule::LockDiscipline => audit::check_lock_discipline(rel_path, syntax),
-        Rule::ResultDiscard => audit::check_result_discard(rel_path, syntax),
+    // (token, rank, msg) of the best hit per line, in line order.
+    let mut best: Vec<(usize, usize, String)> = Vec::new();
+    for i in 0..f.tokens.len() {
+        let Some((rank, msg)) = hit(i) else { continue };
+        if f.token_in_test(i) {
+            continue;
+        }
+        match best.last_mut() {
+            Some(b) if f.tokens[b.0].line == f.tokens[i].line => {
+                if rank < b.1 {
+                    *b = (i, rank, msg);
+                }
+            }
+            _ => best.push((i, rank, msg)),
+        }
     }
+    best.into_iter()
+        .filter(|&(i, _, _)| {
+            let stmt_line = f.tokens[f.stmt_start(i)].line;
+            !f.annotated(f.tokens[i].line, stmt_line, rule.annotation_tag())
+        })
+        .map(|(i, _, msg)| Violation {
+            file: rel_path.to_string(),
+            line: f.tokens[i].line + 1,
+            rule,
+            msg,
+        })
+        .collect()
+}
+
+/// The identifier after a `::` that follows token `i` (`Instant` → `now`).
+fn path_next(f: &SyntaxFile, i: usize) -> Option<&str> {
+    let a = f.next_code(i + 1).filter(|&a| punct(f, a, ":"))?;
+    let b = f.next_code(a + 1).filter(|&b| punct(f, b, ":"))?;
+    ident(f, f.next_code(b + 1)?)
 }
 
 // ---------------------------------------------------------------------------
@@ -220,371 +263,228 @@ const ITER_METHODS: [&str; 8] = [
     "iter", "iter_mut", "keys", "values", "values_mut", "drain", "into_iter", "retain",
 ];
 
-fn check_nondet_iter(rel_path: &str, file: &ScannedFile) -> Vec<Violation> {
-    let idents = hash_idents(file);
-    let mut out = Vec::new();
-    for (idx, line) in file.lines.iter().enumerate() {
-        if line.in_test {
-            continue;
+fn check_nondet_iter(rel_path: &str, f: &SyntaxFile) -> Vec<Violation> {
+    let idents = hash_idents(f);
+    check_tokens(Rule::NondetIter, rel_path, f, |i| {
+        let name = ident(f, i)?;
+        // `recv.method(…)` ranks by method; a `for … in recv {` loop ranks last.
+        let (rank, recv) = if let Some(rank) = ITER_METHODS.iter().position(|m| *m == name) {
+            f.method_call(i)?;
+            (rank, f.prev_code(f.prev_code(i)?)?)
+        } else if name == "for" {
+            (ITER_METHODS.len(), for_loop_target(f, i)?)
+        } else {
+            return None;
+        };
+        let recv = ident(f, recv)?;
+        if !idents.iter().any(|h| h == recv) || order_pinned(f, i) {
+            return None;
         }
-        let code = &line.code;
-        let mut hit: Option<(String, String)> = None; // (ident, method)
-        for m in &ITER_METHODS {
-            let pat = format!(".{m}(");
-            let mut from = 0;
-            while let Some(pos) = code[from..].find(&pat) {
-                let at = from + pos;
-                let recv = receiver_before(code, at).or_else(|| {
-                    // A chain continued from the previous line:
-                    //     self.times
-                    //         .iter()
-                    if code[..at].trim().is_empty() {
-                        file.lines[..idx]
-                            .iter()
-                            .rev()
-                            .take(3)
-                            .map(|l| l.code.trim_end())
-                            .find(|c| !c.is_empty())
-                            .and_then(|c| ident_ending_at(c, c.len()))
-                    } else {
-                        None
-                    }
-                });
-                if let Some(recv) = recv {
-                    if idents.contains(&recv) {
-                        hit = Some((recv, (*m).to_string()));
-                        break;
-                    }
-                }
-                from = at + pat.len();
-            }
-            if hit.is_some() {
-                break;
-            }
-        }
-        if hit.is_none() {
-            // `for x in &map { ... }` / `for x in map {`
-            if let Some(ident) = for_loop_over(code) {
-                if idents.contains(&ident) {
-                    hit = Some((ident, "for-in".to_string()));
-                }
-            }
-        }
-        let Some((ident, method)) = hit else { continue };
-        if file.annotated(idx, "nondet-ok:") {
-            continue;
-        }
-        if sorted_nearby(file, idx) {
-            continue;
-        }
-        out.push(Violation {
-            file: rel_path.to_string(),
-            line: idx + 1,
-            rule: Rule::NondetIter,
-            msg: format!(
-                "`{ident}.{method}` iterates a HashMap/HashSet in storage order in a \
+        let method = if name == "for" { "for-in" } else { name };
+        Some((
+            rank,
+            format!(
+                "`{recv}.{method}` iterates a HashMap/HashSet in storage order in a \
                  deterministic crate; use BTreeMap/BTreeSet, sort the result, or justify \
                  with `// nondet-ok: <why>`"
             ),
-        });
-    }
-    out
+        ))
+    })
 }
 
-/// Identifiers in this file declared with a `HashMap`/`HashSet` type
-/// (field/let type annotations and `= HashMap::new()`-style bindings).
-fn hash_idents(file: &ScannedFile) -> Vec<String> {
+/// Identifiers in this file declared with a `HashMap`/`HashSet` type: a
+/// field, parameter, or `let` annotation (`name: &HashMap<…>`), or a
+/// constructor binding (`name = HashMap::new()`).
+fn hash_idents(f: &SyntaxFile) -> Vec<String> {
     let mut idents = Vec::new();
-    for line in &file.lines {
-        let code = &line.code;
-        for ty in ["HashMap", "HashSet"] {
-            let mut from = 0;
-            while let Some(pos) = code[from..].find(ty) {
-                let at = from + pos;
-                from = at + ty.len();
-                // Word boundary after: `<` (generic) or `::` (constructor).
-                let after = &code[at + ty.len()..];
-                let is_generic = after.starts_with('<');
-                let is_ctor = after.starts_with("::");
-                if !is_generic && !is_ctor {
-                    continue;
-                }
-                // Skip a `std::collections::` path prefix backwards.
-                let before = path_start(code, at);
-                if let Some(ident) = match binding_before(code, before) {
-                    Some(i) => Some(i),
-                    None if is_ctor => assignment_before(code, before),
-                    None => None,
-                } {
-                    if !idents.contains(&ident) {
-                        idents.push(ident);
-                    }
-                }
+    for i in 0..f.tokens.len() {
+        let Some(ty) = ident(f, i) else { continue };
+        if !(ty.ends_with("HashMap") || ty.ends_with("HashSet")) {
+            continue;
+        }
+        let generic = f.next_code(i + 1).is_some_and(|j| punct(f, j, "<"));
+        let ctor = path_next(f, i).is_some();
+        if !generic && !ctor {
+            continue;
+        }
+        // Walk back over a `std::collections::` path prefix.
+        let mut start = i;
+        while let Some(seg) = f
+            .prev_code(start)
+            .filter(|&c| punct(f, c, ":"))
+            .and_then(|c| f.prev_code(c).filter(|&c| punct(f, c, ":")))
+            .and_then(|c| f.prev_code(c).filter(|&s| ident(f, s).is_some()))
+        {
+            start = seg;
+        }
+        let Some(before) = f.prev_code(start) else { continue };
+        let name = if punct(f, before, "=") {
+            // `name = HashMap::new()`; `==`/`+=`/… have a punct before `=`.
+            f.prev_code(before).filter(|_| ctor)
+        } else {
+            // `name: &&HashMap<…>` (a `&mut` or lifetime is not followed).
+            let mut colon = Some(before);
+            while let Some(amp) = colon.filter(|&c| punct(f, c, "&")) {
+                colon = f.prev_code(amp);
+            }
+            colon
+                .filter(|&c| punct(f, c, ":"))
+                .and_then(|c| f.prev_code(c))
+                .filter(|&n| !punct(f, n, ":"))
+        };
+        if let Some(name) = name.and_then(|n| ident(f, n)) {
+            if !idents.iter().any(|h| h == name) {
+                idents.push(name.to_string());
             }
         }
     }
     idents
 }
 
-/// Start of the path expression containing the type at `at` (walk back over
-/// `std::collections::`-style prefixes).
-fn path_start(code: &str, at: usize) -> usize {
-    let bytes = code.as_bytes();
-    let mut i = at;
-    while i > 0 {
-        let c = bytes[i - 1] as char;
-        if c.is_alphanumeric() || c == '_' || c == ':' {
-            i -= 1;
-        } else {
-            break;
+/// `for <pat> in [&][mut] a.b.c {` — the token of the loop target's last
+/// path segment, when the target is a plain path.
+fn for_loop_target(f: &SyntaxFile, i: usize) -> Option<usize> {
+    let d = f.depth_of(i);
+    let mut j = f.next_code(i + 1)?;
+    while !(ident(f, j) == Some("in") && f.depth_of(j) == d) {
+        if f.depth_of(j) == d && ["{", ";", "}"].iter().any(|p| punct(f, j, p)) {
+            return None;
         }
+        j = f.next_code(j + 1)?;
     }
-    i
-}
-
-/// If the text before `pos` ends with `ident :` (a field or let type
-/// annotation), return the identifier. Handles `ident: &HashMap<...>` too.
-fn binding_before(code: &str, pos: usize) -> Option<String> {
-    let bytes = code.as_bytes();
-    let mut i = pos;
-    // Skip whitespace and reference sigils.
-    while i > 0 && matches!(bytes[i - 1] as char, ' ' | '\t' | '&') {
-        i -= 1;
+    j = f.next_code(j + 1)?;
+    while punct(f, j, "&") || ident(f, j) == Some("mut") {
+        j = f.next_code(j + 1)?;
     }
-    while i > 0 && (code[..i].ends_with("mut") || code[..i].ends_with("mut ")) {
-        i -= 3;
-        while i > 0 && (bytes[i - 1] as char).is_whitespace() {
-            i -= 1;
+    loop {
+        let seg = j;
+        if !matches!(f.tokens[seg].kind, TokenKind::Ident | TokenKind::Number) {
+            return None;
         }
-    }
-    if i == 0 || bytes[i - 1] as char != ':' {
-        return None;
-    }
-    // A `::` path separator is not a type annotation.
-    if i >= 2 && bytes[i - 2] as char == ':' {
-        return None;
-    }
-    i -= 1;
-    ident_ending_at(code, i)
-}
-
-/// If the text before `pos` ends with `ident =` (a plain assignment such as
-/// `let m = HashMap::new()`), return the identifier.
-fn assignment_before(code: &str, pos: usize) -> Option<String> {
-    let bytes = code.as_bytes();
-    let mut i = pos;
-    while i > 0 && (bytes[i - 1] as char).is_whitespace() {
-        i -= 1;
-    }
-    if i == 0 || bytes[i - 1] as char != '=' {
-        return None;
-    }
-    i -= 1;
-    // Reject `==`, `+=`, `=>` neighbours.
-    if i > 0 && matches!(bytes[i - 1] as char, '=' | '!' | '<' | '>' | '+' | '-') {
-        return None;
-    }
-    ident_ending_at(code, i)
-}
-
-/// The identifier whose last character is just before `end` (skipping
-/// whitespace).
-fn ident_ending_at(code: &str, end: usize) -> Option<String> {
-    let bytes = code.as_bytes();
-    let mut j = end;
-    while j > 0 && (bytes[j - 1] as char).is_whitespace() {
-        j -= 1;
-    }
-    let stop = j;
-    while j > 0 {
-        let c = bytes[j - 1] as char;
-        if c.is_alphanumeric() || c == '_' {
-            j -= 1;
-        } else {
-            break;
+        j = f.next_code(seg + 1)?;
+        if punct(f, j, "{") {
+            return Some(seg);
         }
-    }
-    if j == stop {
-        return None;
-    }
-    let ident = &code[j..stop];
-    if ident.chars().next().is_some_and(|c| c.is_alphabetic() || c == '_') {
-        Some(ident.to_string())
-    } else {
-        None
+        if punct(f, j, ":") && f.next_code(j + 1).is_some_and(|k| punct(f, k, ":")) {
+            j = f.next_code(j + 1)?;
+        } else if !punct(f, j, ".") {
+            return None;
+        }
+        j = f.next_code(j + 1)?;
     }
 }
 
-/// The receiver identifier immediately before the `.` at `dot` (the last
-/// path segment: `self.watts.iter()` → `watts`).
-fn receiver_before(code: &str, dot: usize) -> Option<String> {
-    ident_ending_at(code, dot)
-}
-
-/// `for x in <expr> {` where `<expr>` is a plain (possibly `&`/`self.`)
-/// path — returns the final segment.
-fn for_loop_over(code: &str) -> Option<String> {
-    let f = code.find("for ")?;
-    let rest = &code[f + 4..];
-    let in_pos = rest.find(" in ")?;
-    let tail = rest[in_pos + 4..].trim();
-    let expr = tail.split('{').next().unwrap_or(tail).trim();
-    let expr = expr.trim_start_matches('&').trim_start_matches("mut ").trim();
-    // Reject anything that is not a simple path (calls, indexing, ranges).
-    if expr.is_empty()
-        || !expr
-            .chars()
-            .all(|c| c.is_alphanumeric() || c == '_' || c == '.' || c == ':')
-    {
-        return None;
+/// Is the iteration at token `i` pinned to a deterministic order: a
+/// `sort*`/`BTree*` identifier in its statement or the next one, or — for
+/// a fn's tail expression — in the fn's return type?
+fn order_pinned(f: &SyntaxFile, i: usize) -> bool {
+    let pins = |from: usize, to: usize| {
+        (from..to).any(|k| ident(f, k).is_some_and(|t| t.contains("sort") || t.contains("BTree")))
+    };
+    let end = f.stmt_end(i);
+    // The next statement, when one follows in the same block.
+    let next = f.next_code(end + 1).filter(|&n| f.depth_of(n) == f.depth_of(end));
+    let next_end = next.filter(|_| punct(f, end, ";")).map_or(end, |n| f.stmt_end(n));
+    if pins(f.stmt_start(i), next_end) {
+        return true;
     }
-    let seg = expr.rsplit(['.', ':']).next()?;
-    if seg.is_empty() {
-        None
-    } else {
-        Some(seg.to_string())
-    }
-}
-
-/// Is the iteration's result pinned to a deterministic order nearby — a
-/// `sort`/`BTree` collect within the same statement window (the flagged
-/// line plus the next five)?
-fn sorted_nearby(file: &ScannedFile, idx: usize) -> bool {
-    file.lines[idx..file.lines.len().min(idx + 6)]
-        .iter()
-        .any(|l| l.code.contains("sort") || l.code.contains("BTree"))
+    // A tail expression: its value is the fn's return value, typed by the
+    // tokens between the parameter list and the body.
+    f.fn_scope_of(i).is_some_and(|s| {
+        s.close == end && {
+            let params = (0..s.open).rev().find(|&k| punct(f, k, ")")).unwrap_or(s.open);
+            pins(params, s.open)
+        }
+    })
 }
 
 // ---------------------------------------------------------------------------
 // R2: wall-clock
 // ---------------------------------------------------------------------------
 
-fn check_wall_clock(rel_path: &str, file: &ScannedFile) -> Vec<Violation> {
-    let mut out = Vec::new();
-    for (idx, line) in file.lines.iter().enumerate() {
-        if line.in_test {
-            continue;
-        }
-        for token in ["Instant::now", "SystemTime"] {
-            if line.code.contains(token) {
-                if file.annotated(idx, "wall-clock-ok:") {
-                    continue;
-                }
-                out.push(Violation {
-                    file: rel_path.to_string(),
-                    line: idx + 1,
-                    rule: Rule::WallClock,
-                    msg: format!(
-                        "`{token}` outside stdkit::bench / crates/bench: wall-clock reads \
-                         break replay determinism; inject a clock or justify with \
-                         `// wall-clock-ok: <why>`"
-                    ),
-                });
-                break;
-            }
-        }
-    }
-    out
+fn check_wall_clock(rel_path: &str, f: &SyntaxFile) -> Vec<Violation> {
+    check_tokens(Rule::WallClock, rel_path, f, |i| {
+        let (rank, token) = match ident(f, i)? {
+            "Instant" if path_next(f, i) == Some("now") => (0, "Instant::now"),
+            t if t.contains("SystemTime") => (1, "SystemTime"),
+            _ => return None,
+        };
+        Some((
+            rank,
+            format!(
+                "`{token}` outside stdkit::bench / crates/bench: wall-clock reads \
+                 break replay determinism; inject a clock or justify with \
+                 `// wall-clock-ok: <why>`"
+            ),
+        ))
+    })
 }
 
 // ---------------------------------------------------------------------------
 // R3: panic policy
 // ---------------------------------------------------------------------------
 
-const PANIC_TOKENS: [&str; 6] = [
-    ".unwrap()",
-    ".expect(",
-    "panic!(",
-    "unreachable!(",
-    "todo!(",
-    "unimplemented!(",
-];
+/// Panicking macros; they rank after `.unwrap()` and `.expect(`.
+const PANIC_MACROS: [&str; 4] = ["panic", "unreachable", "todo", "unimplemented"];
 
-fn check_panics(rel_path: &str, file: &ScannedFile) -> Vec<Violation> {
-    let mut out = Vec::new();
-    for (idx, line) in file.lines.iter().enumerate() {
-        if line.in_test {
-            continue;
-        }
-        for token in PANIC_TOKENS {
-            if line.code.contains(token) {
-                if file.annotated(idx, "invariant:") {
-                    continue;
-                }
-                out.push(Violation {
-                    file: rel_path.to_string(),
-                    line: idx + 1,
-                    rule: Rule::Panics,
-                    msg: format!(
-                        "`{token}` in a pipeline crate: faults are data, not bugs — return \
-                         JarvisError/ModelError, or justify with `// invariant: <why it \
-                         cannot fire>`",
-                        token = token.trim_start_matches('.')
-                    ),
-                });
-                break;
+fn check_panics(rel_path: &str, f: &SyntaxFile) -> Vec<Violation> {
+    check_tokens(Rule::Panics, rel_path, f, |i| {
+        let name = ident(f, i)?;
+        let next = f.next_code(i + 1)?;
+        let after = f.next_code(next + 1);
+        let (rank, token) = match name {
+            // `.unwrap()` takes no argument; `.expect(` any.
+            "unwrap" if f.method_call(i).is_some() && after.is_some_and(|a| punct(f, a, ")")) => {
+                (0, "unwrap()".to_string())
             }
-        }
-    }
-    out
+            "expect" if f.method_call(i).is_some() => (1, "expect(".to_string()),
+            _ => {
+                let rank = PANIC_MACROS.iter().position(|m| *m == name)?;
+                if !(punct(f, next, "!") && after.is_some_and(|a| punct(f, a, "("))) {
+                    return None;
+                }
+                (2 + rank, format!("{name}!("))
+            }
+        };
+        Some((
+            rank,
+            format!(
+                "`{token}` in a pipeline crate: faults are data, not bugs — return \
+                 JarvisError/ModelError, or justify with `// invariant: <why it \
+                 cannot fire>`"
+            ),
+        ))
+    })
 }
 
 // ---------------------------------------------------------------------------
 // R4: float determinism
 // ---------------------------------------------------------------------------
 
-fn check_float(rel_path: &str, file: &ScannedFile) -> Vec<Violation> {
-    let mut out = Vec::new();
-    for (idx, line) in file.lines.iter().enumerate() {
-        if line.in_test {
-            continue;
-        }
-        let code = &line.code;
-        let hit = if code.contains(".mul_add(") {
-            Some(("mul_add", "contracts to FMA on some targets, changing results bitwise"))
-        } else if code.contains(".powf(") {
-            Some(("powf", "libm-dependent, not bit-reproducible across platforms"))
-        } else if has_cast(code, "f32") {
-            Some(("as f32", "narrows f64 precision in an f64 workspace"))
-        } else if has_cast(code, "f64") {
-            Some(("as f64", "lossy above 2^53 / for negative values"))
-        } else {
-            None
+fn check_float(rel_path: &str, f: &SyntaxFile) -> Vec<Violation> {
+    check_tokens(Rule::Float, rel_path, f, |i| {
+        let (rank, token, why) = match ident(f, i)? {
+            "mul_add" if f.method_call(i).is_some() => {
+                (0, "mul_add", "contracts to FMA on some targets, changing results bitwise")
+            }
+            "powf" if f.method_call(i).is_some() => {
+                (1, "powf", "libm-dependent, not bit-reproducible across platforms")
+            }
+            "as" => match ident(f, f.next_code(i + 1)?)? {
+                "f32" => (2, "as f32", "narrows f64 precision in an f64 workspace"),
+                "f64" => (3, "as f64", "lossy above 2^53 / for negative values"),
+                _ => return None,
+            },
+            _ => return None,
         };
-        let Some((token, why)) = hit else { continue };
-        if file.annotated(idx, "float-ok:") {
-            continue;
-        }
-        out.push(Violation {
-            file: rel_path.to_string(),
-            line: idx + 1,
-            rule: Rule::Float,
-            msg: format!(
+        Some((
+            rank,
+            format!(
                 "`{token}` in a kernel/replay path: {why}; restructure or justify with \
                  `// float-ok: <why exact>`"
             ),
-        });
-    }
-    out
-}
-
-/// Does the line contain an `as <ty>` cast (word-bounded)?
-fn has_cast(code: &str, ty: &str) -> bool {
-    let pat = format!(" as {ty}");
-    let mut from = 0;
-    while let Some(pos) = code[from..].find(&pat) {
-        let at = from + pos;
-        let end = at + pat.len();
-        let boundary = code[end..]
-            .chars()
-            .next()
-            .map_or(true, |c| !(c.is_alphanumeric() || c == '_'));
-        if boundary {
-            return true;
-        }
-        from = end;
-    }
-    false
+        ))
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -665,42 +565,42 @@ pub fn check_manifest(rel_path: &str, text: &str) -> Vec<Violation> {
 // R6: panic boundaries
 // ---------------------------------------------------------------------------
 
-fn check_unwind(rel_path: &str, file: &ScannedFile) -> Vec<Violation> {
-    let mut out = Vec::new();
-    for (idx, line) in file.lines.iter().enumerate() {
-        if line.in_test {
-            continue;
-        }
-        if !line.code.contains("catch_unwind") {
-            continue;
-        }
+fn check_unwind(rel_path: &str, f: &SyntaxFile) -> Vec<Violation> {
+    check_tokens(Rule::Unwind, rel_path, f, |i| {
         // Imports are harmless; the rule polices call sites.
-        if line.code.trim_start().starts_with("use ") {
-            continue;
+        (ident(f, i)?.contains("catch_unwind") && !in_use_tree(f, i)).then(|| {
+            (
+                0,
+                "`catch_unwind` outside stdkit::pool / runtime::supervisor: a swallowed \
+                 panic hides corrupted state; route the failure through the supervised \
+                 recovery path or justify with `// unwind-ok: <why>`"
+                    .to_string(),
+            )
+        })
+    })
+}
+
+/// Is token `i` part of a `use` declaration's path tree?
+fn in_use_tree(f: &SyntaxFile, i: usize) -> bool {
+    let mut j = i;
+    while let Some(p) = f.prev_code(j) {
+        match ident(f, p) {
+            Some("use") => return true,
+            Some(_) => {}
+            None if [":", "{", "}", ","].iter().any(|s| punct(f, p, s)) => {}
+            None => return false,
         }
-        if file.annotated(idx, "unwind-ok:") {
-            continue;
-        }
-        out.push(Violation {
-            file: rel_path.to_string(),
-            line: idx + 1,
-            rule: Rule::Unwind,
-            msg: "`catch_unwind` outside stdkit::pool / runtime::supervisor: a swallowed \
-                  panic hides corrupted state; route the failure through the supervised \
-                  recovery path or justify with `// unwind-ok: <why>`"
-                .to_string(),
-        });
+        j = p;
     }
-    out
+    false
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scan::scan_source;
 
     fn check(rule: Rule, path: &str, src: &str) -> Vec<Violation> {
-        check_source(rule, path, &scan_source(src), &SyntaxFile::parse(src))
+        check_source(rule, path, &SyntaxFile::parse(src))
     }
 
     #[test]
@@ -727,6 +627,19 @@ mod tests {
     }
 
     #[test]
+    fn nondet_iter_sort_in_a_sibling_block_does_not_pin() {
+        let src = "struct S { m: HashMap<u32, u32> }\n\
+                   fn f(s: &S, b: bool, v: &mut Vec<u32>) {\n\
+                       if b {\n\
+                           *v = s.m.keys().copied().collect();\n\
+                       } else {\n\
+                           v.sort();\n\
+                       }\n\
+                   }\n";
+        assert_eq!(lines(&check(Rule::NondetIter, "crates/policy/src/x.rs", src)), [4]);
+    }
+
+    #[test]
     fn nondet_iter_respects_annotation() {
         let src = "struct S { m: HashMap<u32, u32> }\n\
                    fn f(s: &S) -> u32 { s.m.values().count() as u32 } \
@@ -746,6 +659,12 @@ mod tests {
         let src = "fn f() { let m = HashSet::new(); for x in &m { go(x); } }\n";
         let v = check(Rule::NondetIter, "crates/sim/src/x.rs", src);
         assert_eq!(v.len(), 1);
+    }
+
+    #[test]
+    fn nondet_iter_survives_a_file_that_starts_mid_type() {
+        let src = "&HashMap<u32, u32>\n";
+        assert!(check(Rule::NondetIter, "crates/policy/src/x.rs", src).is_empty());
     }
 
     #[test]
@@ -839,6 +758,80 @@ mod tests {
     fn unwind_skips_test_code() {
         let src = "#[cfg(test)]\nmod t { fn g() { let _ = catch_unwind(|| 1); } }\n";
         assert!(check(Rule::Unwind, "crates/core/src/x.rs", src).is_empty());
+    }
+
+    fn lines(v: &[Violation]) -> Vec<usize> {
+        v.iter().map(|v| v.line).collect()
+    }
+
+    #[test]
+    fn string_and_comment_text_is_not_code() {
+        let src = "fn f() { let x = \"Instant::now()\"; } // Instant::now()\n";
+        assert!(check(Rule::WallClock, "crates/core/src/x.rs", src).is_empty());
+    }
+
+    #[test]
+    fn block_comments_span_lines_and_code_resumes_after() {
+        let src = "fn f() { a /* panic!(\n.unwrap() */ ; b.unwrap(); }\n";
+        assert_eq!(lines(&check(Rule::Panics, "crates/core/src/x.rs", src)), [2]);
+    }
+
+    #[test]
+    fn raw_strings_hide_their_contents() {
+        let src = "fn f() { let s = r#\".unwrap() \"quoted\" \"#; x.y(); }\n\
+                   fn g() { let s = r#\"\"#; x.unwrap(); }\n";
+        assert_eq!(lines(&check(Rule::Panics, "crates/core/src/x.rs", src)), [2]);
+    }
+
+    #[test]
+    fn lifetimes_are_not_char_literals() {
+        let src = "fn f<'a>(x: &'a str) -> &'a str { x } // .unwrap()\n\
+                   fn g<'a>(x: &'a Option<u32>) -> u32 { x.unwrap() }\n";
+        assert_eq!(lines(&check(Rule::Panics, "crates/core/src/x.rs", src)), [2]);
+    }
+
+    #[test]
+    fn quote_char_literal_opens_no_string() {
+        let src = "fn f() { let c = '\"'; let s = \"x.unwrap()\"; }\n\
+                   fn g() { let c = '\"'; x.unwrap(); }\n";
+        assert_eq!(lines(&check(Rule::Panics, "crates/core/src/x.rs", src)), [2]);
+    }
+
+    #[test]
+    fn cfg_test_scope_ends_with_its_module() {
+        let src = "fn a() { x.unwrap(); }\n\
+                   #[cfg(test)]\n\
+                   mod tests {\n\
+                       fn b() { y.unwrap(); }\n\
+                   }\n\
+                   fn c() { z.unwrap(); }\n";
+        assert_eq!(lines(&check(Rule::Panics, "crates/core/src/x.rs", src)), [1, 6]);
+    }
+
+    #[test]
+    fn annotations_on_the_line_or_above_need_a_justification() {
+        let src = "fn f() {\n\
+                   a.unwrap(); // invariant: index from enumerate\n\
+                   // invariant: static catalogue\n\
+                   b.unwrap();\n\
+                   c.unwrap(); // invariant:\n\
+                   }\n";
+        assert_eq!(lines(&check(Rule::Panics, "crates/core/src/x.rs", src)), [5]);
+    }
+
+    #[test]
+    fn one_finding_per_line_names_the_highest_priority_pattern() {
+        let src = "fn f(x: Option<u32>) { x.expect(\"set\"); panic!(\"no\"); x.unwrap(); }\n";
+        let v = check(Rule::Panics, "crates/core/src/x.rs", src);
+        assert_eq!(v.len(), 1);
+        assert!(v[0].msg.starts_with("`unwrap()`"), "{}", v[0].msg);
+    }
+
+    #[test]
+    fn unwind_skips_multi_line_use_trees() {
+        let src = "use std::panic::{\n    catch_unwind,\n    AssertUnwindSafe,\n};\n\
+                   fn f() { let _ = catch_unwind(|| 1); }\n";
+        assert_eq!(lines(&check(Rule::Unwind, "crates/core/src/x.rs", src)), [5]);
     }
 
     #[test]

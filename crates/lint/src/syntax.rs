@@ -1,5 +1,5 @@
-//! The token-tree / scope pass: everything the concurrency-audit rules
-//! (R7–R10) need beyond raw tokens.
+//! The token-tree / scope pass: everything the source rules need beyond
+//! raw tokens.
 //!
 //! Built once per file from the [`crate::lexer`] stream, this pass
 //! provides:
@@ -7,7 +7,7 @@
 //! * **delimiter matching** — every `(`/`[`/`{` knows its partner, and
 //!   every token knows its nesting depth;
 //! * **scope attribution** — which `fn`/`impl`/`mod` item a token is in,
-//!   and whether that item is test-gated (`#[cfg(test)]`, `#[test]`);
+//!   and whether it sits in a test-gated item (`#[cfg(test)]`, `#[test]`);
 //! * **statement grouping** — the span of the expression statement a token
 //!   belongs to, so a rule looking at line 373 of a five-line
 //!   `compare_exchange_weak` call can find the statement's first line;
@@ -18,8 +18,8 @@
 //!   `unsafe` underneath it).
 //!
 //! The annotation grammar lives here too: [`SyntaxFile::annotated`] is the
-//! R7–R10 twin of the scanner's per-line escape-hatch lookup, but
-//! case-insensitive and statement-aware.
+//! one escape-hatch lookup every source rule uses — case-insensitive and
+//! statement-aware.
 
 use crate::lexer::{lex, Token, TokenKind};
 
@@ -84,10 +84,10 @@ impl SyntaxFile {
         let line_count = src.lines().count().max(1);
         let matching = match_delimiters(&tokens);
         let depth = depths(&tokens);
-        let scopes = find_scopes(&tokens, &matching);
+        let (scopes, gated) = find_scopes(&tokens, &matching);
         let scope_of = attribute_scopes(&tokens, &scopes);
         let (line_comment, passive_line) = line_tables(&tokens, line_count);
-        let test_line = test_lines(&tokens, &scopes, line_count);
+        let test_line = test_lines(&tokens, &scopes, &gated, line_count);
         SyntaxFile {
             tokens,
             matching,
@@ -176,6 +176,33 @@ impl SyntaxFile {
             j = prev;
         }
         j
+    }
+
+    /// Token index where the statement containing token `i` ends: the next
+    /// `;` at the same depth, or the closer of the enclosing group when the
+    /// statement is a tail expression (delimited sub-expressions are
+    /// skipped as units). One past the last token when neither exists.
+    #[must_use]
+    pub fn stmt_end(&self, i: usize) -> usize {
+        let d = self.depth_of(i);
+        let mut j = i;
+        while let Some(t) = self.tokens.get(j) {
+            if t.kind == TokenKind::Punct {
+                match t.text.as_str() {
+                    ";" if self.depth_of(j) <= d => return j,
+                    ")" | "]" | "}" if self.depth_of(j) < d => return j,
+                    "(" | "[" | "{" => {
+                        if let Some(close) = self.partner(j) {
+                            j = close + 1;
+                            continue;
+                        }
+                    }
+                    _ => {}
+                }
+            }
+            j += 1;
+        }
+        self.tokens.len()
     }
 
     /// The comment text *attached to* 0-based `line`: a trailing comment on
@@ -299,6 +326,23 @@ impl SyntaxFile {
     }
 }
 
+/// Is token `i` the punctuation `s`?
+#[must_use]
+pub fn punct(f: &SyntaxFile, i: usize, s: &str) -> bool {
+    f.tokens
+        .get(i)
+        .is_some_and(|t| t.kind == TokenKind::Punct && t.text == s)
+}
+
+/// The text of token `i` when it is an identifier (or keyword).
+#[must_use]
+pub fn ident(f: &SyntaxFile, i: usize) -> Option<&str> {
+    f.tokens
+        .get(i)
+        .filter(|t| t.kind == TokenKind::Ident)
+        .map(|t| t.text.as_str())
+}
+
 /// Pair every `(`/`[`/`{` with its closer via one stack walk. Comments
 /// never participate. Mismatched closers are left unpaired.
 fn match_delimiters(tokens: &[Token]) -> Vec<Option<usize>> {
@@ -368,12 +412,18 @@ fn next_code(tokens: &[Token], mut i: usize) -> Option<usize> {
     None
 }
 
-/// Find every brace scope and classify the item that opens it.
-fn find_scopes(tokens: &[Token], matching: &[Option<usize>]) -> Vec<Scope> {
+/// Find every brace scope and classify the item that opens it. Also
+/// returns the line spans of test-gated items without a body
+/// (`#[cfg(test)] use …;`, `#[cfg(test)] mod tests;`).
+fn find_scopes(
+    tokens: &[Token],
+    matching: &[Option<usize>],
+) -> (Vec<Scope>, Vec<(usize, usize)>) {
     let mut scopes = Vec::new();
+    let mut gated = Vec::new();
     // Track the most recent item keyword seen since the last `{`/`;`/`}` —
     // the item a following `{` belongs to — plus its start line.
-    let mut pending: Option<(ScopeKind, Option<String>, bool, usize)> = None;
+    let mut pending: Option<(ScopeKind, Option<String>, usize)> = None;
     // Attributes seen since the last statement boundary, lowercased, and
     // the line the first of them starts on.
     let mut attrs: Vec<String> = Vec::new();
@@ -412,20 +462,26 @@ fn find_scopes(tokens: &[Token], matching: &[Option<usize>]) -> Vec<Scope> {
                     let name = next_code(tokens, i + 1)
                         .filter(|&k| tokens[k].kind == TokenKind::Ident)
                         .map(|k| tokens[k].text.clone());
-                    let test = attrs.iter().any(|a| is_test_attr(a));
-                    pending = Some((kind, name, test, attr_line.unwrap_or(t.line)));
+                    pending = Some((kind, name, attr_line.unwrap_or(t.line)));
                 }
                 _ => {}
             },
             TokenKind::Punct if t.text == "{" => {
                 let close = matching[i].unwrap_or(tokens.len());
-                let (kind, name, test, item_line) =
-                    pending.take().unwrap_or((ScopeKind::Block, None, false, t.line));
+                // Any gated item counts: `fn`/`mod`/`impl`, but also a
+                // `struct`, `const`, or `macro_rules!` body.
+                let test = attrs.iter().any(|a| is_test_attr(a));
+                let (kind, name, item_line) = pending
+                    .take()
+                    .unwrap_or((ScopeKind::Block, None, attr_line.unwrap_or(t.line)));
                 scopes.push(Scope { kind, name, open: i, close, test, item_line });
                 attrs.clear();
                 attr_line = None;
             }
             TokenKind::Punct if t.text == ";" || t.text == "}" => {
+                if t.text == ";" && attrs.iter().any(|a| is_test_attr(a)) {
+                    gated.push((attr_line.unwrap_or(t.line), t.line));
+                }
                 pending = None;
                 attrs.clear();
                 attr_line = None;
@@ -434,7 +490,7 @@ fn find_scopes(tokens: &[Token], matching: &[Option<usize>]) -> Vec<Scope> {
         }
         i += 1;
     }
-    scopes
+    (scopes, gated)
 }
 
 fn is_test_attr(attr: &str) -> bool {
@@ -541,9 +597,17 @@ fn mark_code(has_code: &mut [bool], has_any: &mut [bool], t: &Token) {
     }
 }
 
-/// Per-line test flags from the scope table.
-fn test_lines(tokens: &[Token], scopes: &[Scope], line_count: usize) -> Vec<bool> {
+/// Per-line test flags from the scope table and the bodiless gated items.
+fn test_lines(
+    tokens: &[Token],
+    scopes: &[Scope],
+    gated: &[(usize, usize)],
+    line_count: usize,
+) -> Vec<bool> {
     let mut test = vec![false; line_count];
+    for &(from, to) in gated {
+        test.iter_mut().take(to + 1).skip(from).for_each(|t| *t = true);
+    }
     // Propagate: a scope is effectively test when itself or any enclosing
     // scope is marked. Scopes come in opening order, so parents first.
     let mut effective: Vec<bool> = Vec::with_capacity(scopes.len());
@@ -615,6 +679,19 @@ mod tests {
         assert!(f.in_test(3));
         assert!(f.in_test(4));
         assert!(!f.in_test(5), "scanning resumes after the test mod");
+    }
+
+    #[test]
+    fn any_gated_item_is_test_code() {
+        let src = "#[cfg(test)]\n\
+                   use std::time::SystemTime;\n\
+                   #[cfg(test)]\n\
+                   struct S { t: SystemTime }\n\
+                   fn f() { hit(); }\n";
+        let f = SyntaxFile::parse(src);
+        assert!(f.in_test(1), "a bodiless `use` is gated up to its `;`");
+        assert!(f.in_test(3), "a struct body is gated like a fn body");
+        assert!(!f.in_test(4));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! stays quiet on the clean and annotated ones, and the CLI mirrors that
 //! with its exit codes (0 clean, 1 violations, 2 usage error).
 
-use jarvis_lint::{lint_paths, Options, Rule};
+use jarvis_lint::{check_source, lint_paths, Options, Rule, SyntaxFile};
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -104,6 +104,28 @@ fn nondeterministic_fold_order_trips_r1() {
         v.iter().any(|line| line.contains("support.iter")),
         "the violation should point at the fold's hash-map iteration: {v:?}"
     );
+}
+
+/// Beyond a tag on the site's own line or the line directly above, every
+/// rule accepts three annotation forms: a tag anywhere in the attached
+/// comment/attribute block, a tag in another case, and a tag on a
+/// multi-line statement's first line. Each fixture is clean as written and
+/// trips once its tags are renamed, so the annotations are load-bearing.
+#[test]
+fn annotation_forms_attach_and_are_load_bearing() {
+    for (rule, fixture, tag) in [
+        (Rule::Panics, "annotations/attached_block.rs", "invariant:"),
+        (Rule::Float, "annotations/case.rs", "FLOAT-OK:"),
+        (Rule::WallClock, "annotations/stmt_first_line.rs", "wall-clock-ok:"),
+    ] {
+        let v = run_rule(rule, fixture);
+        assert!(v.is_empty(), "{} tripped on {fixture}: {v:?}", rule.name());
+        let src = std::fs::read_to_string(fixtures().join(fixture))
+            .expect("read fixture")
+            .replace(tag, "note:");
+        let v = check_source(rule, fixture, &SyntaxFile::parse(&src));
+        assert!(!v.is_empty(), "{} did not trip on {fixture} without its tags", rule.name());
+    }
 }
 
 #[test]

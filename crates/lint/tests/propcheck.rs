@@ -1,25 +1,21 @@
-//! Property tests pitting the token lexer against the line scanner on the
-//! scanner's historical blind spots: nested block comments, raw identifiers
-//! (`r#type`), quote-bearing char literals (`'"'`, `'\''`), and raw strings
-//! with `#` fences.
+//! Property tests for the token lexer on the hard corners of Rust's
+//! lexical grammar: nested block comments, raw identifiers (`r#type`),
+//! quote-bearing char literals (`'"'`, `'\''`), and raw strings with `#`
+//! fences.
 //!
-//! Two properties over generated token soup:
-//!
-//! 1. **Round-trip** — `lex(render(lex(src)))` equals `lex(src)` on
-//!    `(kind, text)`. `render` is the lexer's own inverse up to whitespace,
-//!    so any lexing ambiguity shows up as a diff here.
-//! 2. **Comment-map agreement** — the scanner must classify every character
-//!    the same way the lexer does: comment/string marker words never leak
-//!    into blanked [`scan` code], plain code tokens survive at their exact
-//!    columns, and line-comment text matches char-for-char.
+//! **Round-trip** — `lex(render(lex(src)))` equals `lex(src)` on
+//! `(kind, text)`, over generated token soup and over real workspace
+//! sources. `render` is the lexer's own inverse up to whitespace, so any
+//! lexing ambiguity shows up as a diff here. The soup's marker words pin
+//! classification too: `cmark` may only ever sit inside a comment token and
+//! `smark` inside a string or char literal.
 
 use jarvis_lint::lexer::{lex, render, Token, TokenKind};
-use jarvis_lint::scan::scan_source;
 use jarvis_stdkit::propcheck::{Config, Gen, TestResult};
 
 /// One well-formed fragment of token soup. Marker words encode intent:
 /// `cmark` only ever appears inside comments, `smark` only inside string or
-/// char literals — so neither may survive into the scanner's blanked code.
+/// char literals — so neither may land in any other kind of token.
 fn fragment(g: &mut Gen) -> String {
     match g.u32_in(0, 13) {
         0 => format!("kmark{}", g.u32_in(0, 99)),
@@ -48,8 +44,8 @@ fn fragment(g: &mut Gen) -> String {
 
 /// Assemble fragments with random whitespace between them. A line comment is
 /// always followed by a newline so it cannot swallow the next fragment —
-/// swallowing is legal lexing, but it would turn `cmark` marker words into
-/// code on the comment's continuation lines and void the marker invariant.
+/// swallowing is legal lexing, but it would turn the next fragment's words
+/// into comment text and void the marker invariant.
 fn soup(g: &mut Gen) -> String {
     let n = g.usize_in(3, 40);
     let mut src = String::new();
@@ -84,75 +80,42 @@ fn check_round_trip(src: &str, toks: &[Token]) -> TestResult {
     Ok(())
 }
 
-fn check_agreement(src: &str, toks: &[Token]) -> TestResult {
-    let scanned = scan_source(src);
-    for (i, line) in scanned.lines.iter().enumerate() {
-        if line.code.contains("cmark") {
-            return Err(format!(
-                "comment text leaked into scanner code at line {i} of {src:?}: {:?}",
-                line.code
-            ));
-        }
-        if line.code.contains("smark") {
-            return Err(format!(
-                "string contents leaked into scanner code at line {i} of {src:?}: {:?}",
-                line.code
-            ));
-        }
-    }
-    let code_lines: Vec<Vec<char>> =
-        scanned.lines.iter().map(|l| l.code.chars().collect()).collect();
+/// Marker words never leak out of the token kinds that own them.
+fn check_markers(src: &str, toks: &[Token]) -> TestResult {
     for t in toks {
-        match t.kind {
-            // Plain code must survive blanking at its exact column.
-            TokenKind::Ident | TokenKind::Lifetime | TokenKind::Number | TokenKind::Punct => {
-                let line = code_lines.get(t.line).map_or(&[][..], Vec::as_slice);
-                let got: String =
-                    line.iter().skip(t.col).take(t.text.chars().count()).collect();
-                if got != t.text {
-                    return Err(format!(
-                        "scanner lost {:?} token {:?} at {}:{} of {src:?} — code line is {:?}",
-                        t.kind, t.text, t.line, t.col, scanned.lines[t.line].code
-                    ));
-                }
-            }
-            // Line-comment text must land in the scanner's comment map,
-            // char-for-char after the leading slashes.
-            TokenKind::LineComment => {
-                let body: String = t.text.chars().skip(2).collect();
-                let got = &scanned.lines[t.line].comment;
-                if *got != body {
-                    return Err(format!(
-                        "scanner comment map disagrees at line {} of {src:?}: \
-                         lexer saw {body:?}, scanner saw {got:?}",
-                        t.line
-                    ));
-                }
-            }
-            _ => {}
+        let comment = matches!(t.kind, TokenKind::LineComment | TokenKind::BlockComment);
+        let literal = matches!(
+            t.kind,
+            TokenKind::Str | TokenKind::RawStr | TokenKind::ByteStr | TokenKind::Char
+        );
+        if (t.text.contains("cmark") && !comment) || (t.text.contains("smark") && !literal) {
+            return Err(format!(
+                "marker word in a {:?} token {:?} at {}:{} of {src:?}",
+                t.kind, t.text, t.line, t.col
+            ));
         }
     }
     Ok(())
 }
 
 #[test]
-fn token_soup_round_trips_and_agrees_with_the_scanner() {
+fn token_soup_round_trips_and_keeps_markers_in_place() {
     Config::with_cases(300).seed(0x4a52_5649_u64).run(|g: &mut Gen| {
         let src = soup(g);
         let toks = lex(&src);
         check_round_trip(&src, &toks)?;
-        check_agreement(&src, &toks)
+        check_markers(&src, &toks)
     });
 }
 
-/// The same two properties over real workspace sources — the lexer and the
-/// scanner walk these files on every lint run, so they must agree on them.
+/// The round-trip over real workspace sources — the lexer walks these files
+/// on every lint run.
 #[test]
-fn real_sources_round_trip_and_agree() {
+fn real_sources_round_trip() {
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     for rel in [
         "crates/lint/src/lexer.rs",
-        "crates/lint/src/scan.rs",
+        "crates/lint/src/rules.rs",
         "crates/lint/src/syntax.rs",
         "crates/lint/src/audit.rs",
         "crates/stdkit/src/sync.rs",
@@ -162,9 +125,6 @@ fn real_sources_round_trip_and_agree() {
         let src = std::fs::read_to_string(root.join(rel)).expect(rel);
         let toks = lex(&src);
         if let Err(e) = check_round_trip(&src, &toks) {
-            panic!("{rel}: {e}");
-        }
-        if let Err(e) = check_agreement(&src, &toks) {
             panic!("{rel}: {e}");
         }
     }

@@ -29,10 +29,9 @@
 //!
 //! # SIMD tiers
 //!
-//! The tile micro-kernels exist at four [`SimdTier`]s — `Scalar` (plain
-//! Rust), `Sse2` (explicit 2-lane `__m128d`), `Avx2` and `Avx2Fma`
-//! (4-lane `__m256d`; see [`simd`](crate::simd) for why the FMA tier
-//! still uses unfused mul+add). Dispatch is per call: [`matmul`] uses the
+//! The tile micro-kernels exist at two [`SimdTier`]s — `Scalar` (plain
+//! Rust) and `Avx2` (explicit 4-lane `__m256d`, unfused mul+add; see
+//! [`simd`](crate::simd)). Dispatch is per call: [`matmul`] uses the
 //! best runtime-detected tier ([`SimdTier::detect`], overridable once via
 //! `JARVIS_SIMD`), and [`matmul_with_tier`] pins one explicitly. Lanes
 //! map one-to-one onto output columns — each lane is a single scalar
@@ -100,13 +99,8 @@ impl Parallelism {
 pub enum SimdTier {
     /// Portable scalar tiles — the fallback on every architecture.
     Scalar,
-    /// Explicit 2-lane `__m128d` tiles; baseline on x86-64.
-    Sse2,
     /// Explicit 4-lane `__m256d` tiles; requires runtime `avx2`.
     Avx2,
-    /// The AVX2 tiles compiled with `fma` also enabled (arithmetic stays
-    /// unfused — see `crate::simd`); requires runtime `avx2` **and** `fma`.
-    Avx2Fma,
 }
 
 impl SimdTier {
@@ -119,14 +113,8 @@ impl SimdTier {
             #[allow(unused_mut)]
             let mut tiers = vec![SimdTier::Scalar];
             #[cfg(target_arch = "x86_64")]
-            {
-                tiers.push(SimdTier::Sse2);
-                if is_x86_feature_detected!("avx2") {
-                    tiers.push(SimdTier::Avx2);
-                    if is_x86_feature_detected!("fma") {
-                        tiers.push(SimdTier::Avx2Fma);
-                    }
-                }
+            if is_x86_feature_detected!("avx2") {
+                tiers.push(SimdTier::Avx2);
             }
             tiers
         })
@@ -140,7 +128,7 @@ impl SimdTier {
 
     /// The tier [`matmul`] and [`matmul_transpose`] dispatch to: the best
     /// available one, unless `JARVIS_SIMD` (read **once** per process)
-    /// names an available tier (`scalar` | `sse2` | `avx2` | `avx2fma`).
+    /// names an available tier (`scalar` | `avx2`).
     /// Unknown or unavailable names are ignored.
     #[must_use]
     pub fn detect() -> SimdTier {
@@ -149,9 +137,7 @@ impl SimdTier {
             let best = *SimdTier::available().last().unwrap_or(&SimdTier::Scalar);
             match std::env::var("JARVIS_SIMD").ok().as_deref().map(str::trim) {
                 Some("scalar") => SimdTier::Scalar,
-                Some("sse2") if SimdTier::Sse2.is_available() => SimdTier::Sse2,
                 Some("avx2") if SimdTier::Avx2.is_available() => SimdTier::Avx2,
-                Some("avx2fma") if SimdTier::Avx2Fma.is_available() => SimdTier::Avx2Fma,
                 _ => best,
             }
         })
@@ -163,9 +149,7 @@ impl SimdTier {
     pub fn name(self) -> &'static str {
         match self {
             SimdTier::Scalar => "scalar",
-            SimdTier::Sse2 => "sse2",
             SimdTier::Avx2 => "avx2",
-            SimdTier::Avx2Fma => "avx2fma",
         }
     }
 
@@ -391,18 +375,10 @@ fn mm_tile_tier<const MRC: usize>(
     match tier {
         SimdTier::Scalar => mm_tile::<MRC>(apack_block, b, out_block, j, n),
         #[cfg(target_arch = "x86_64")]
-        SimdTier::Sse2 => crate::simd::mm_tile_sse2::<MRC>(apack_block, b, out_block, j, n),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `sanitize()` upstream guarantees the features were
-        // runtime-detected before these tiers can be dispatched.
+        // SAFETY: `sanitize()` upstream guarantees AVX2 was
+        // runtime-detected before this tier can be dispatched.
         #[allow(unsafe_code)]
         SimdTier::Avx2 => unsafe { crate::simd::mm_tile_avx2::<MRC>(apack_block, b, out_block, j, n) },
-        #[cfg(target_arch = "x86_64")]
-        #[allow(unsafe_code)]
-        SimdTier::Avx2Fma => {
-            // SAFETY: as above — dispatch is reachable only post-detection.
-            unsafe { crate::simd::mm_tile_avx2fma::<MRC>(apack_block, b, out_block, j, n) }
-        }
         #[cfg(not(target_arch = "x86_64"))]
         _ => mm_tile::<MRC>(apack_block, b, out_block, j, n),
     }
@@ -422,22 +398,10 @@ fn mt_tile_tier<const MRC: usize>(
     match tier {
         SimdTier::Scalar => mt_tile::<MRC>(apack_block, packed, out_block, j, p, width),
         #[cfg(target_arch = "x86_64")]
-        SimdTier::Sse2 => {
-            crate::simd::mt_tile_sse2::<MRC>(apack_block, packed, out_block, j, p, width);
-        }
-        #[cfg(target_arch = "x86_64")]
         #[allow(unsafe_code)]
         SimdTier::Avx2 => {
             // SAFETY: dispatch is reachable only after runtime detection.
             unsafe { crate::simd::mt_tile_avx2::<MRC>(apack_block, packed, out_block, j, p, width) }
-        }
-        #[cfg(target_arch = "x86_64")]
-        #[allow(unsafe_code)]
-        SimdTier::Avx2Fma => {
-            // SAFETY: dispatch is reachable only after runtime detection.
-            unsafe {
-                crate::simd::mt_tile_avx2fma::<MRC>(apack_block, packed, out_block, j, p, width)
-            }
         }
         #[cfg(not(target_arch = "x86_64"))]
         _ => mt_tile::<MRC>(apack_block, packed, out_block, j, p, width),
@@ -711,11 +675,8 @@ mod tests {
         assert_eq!(tiers.first(), Some(&SimdTier::Scalar));
         assert!(SimdTier::detect().is_available());
         assert!(tiers.windows(2).all(|w| w[0] < w[1]), "ascending preference order");
-        #[cfg(target_arch = "x86_64")]
-        assert!(SimdTier::Sse2.is_available(), "SSE2 is x86-64 baseline");
         // An unavailable tier must degrade to scalar, not hit bad kernels.
-        let probe = [SimdTier::Scalar, SimdTier::Sse2, SimdTier::Avx2, SimdTier::Avx2Fma];
-        for tier in probe {
+        for tier in [SimdTier::Scalar, SimdTier::Avx2] {
             let (a, b) = ([1.0, 2.0], [3.0, 4.0, 5.0, 6.0]);
             let mut out = vec![0.0; 2];
             matmul_with_tier(&a, &b, &mut out, 1, 2, 2, Parallelism::Single, tier);

@@ -59,9 +59,8 @@ pub fn quantize_value(v: f64, scale: f64) -> i8 {
     (v * scale.recip()).round_ties_even().clamp(-127.0, 127.0) as i8
 }
 
-/// Exact int8 dot product at the given [`SimdTier`]. The scalar and SSE2
-/// tiers share the widening scalar kernel (there is no profitable 128-bit
-/// int8 path for these widths); AVX2 tiers use the `pmaddwd` kernel.
+/// Exact int8 dot product at the given [`SimdTier`]: the widening scalar
+/// kernel, or the `pmaddwd` kernel at the AVX2 tier.
 /// Integer sums are order-independent, so every tier returns the **same**
 /// i32 — asserted by the conformance battery.
 ///
@@ -74,7 +73,7 @@ pub fn dot_i8(x: &[i8], w: &[i8], tier: SimdTier) -> i32 {
     match tier {
         #[cfg(target_arch = "x86_64")]
         #[allow(unsafe_code)]
-        SimdTier::Avx2 | SimdTier::Avx2Fma if tier.is_available() => {
+        SimdTier::Avx2 if tier.is_available() => {
             // SAFETY: guarded by the runtime availability check above.
             unsafe { crate::simd::dot_i8_avx2(x, w) }
         }
@@ -104,7 +103,7 @@ fn matmul_q8(x: &[i8], w: &[i16], out: &mut [i32], k: usize, units: usize, tier:
     match tier {
         #[cfg(target_arch = "x86_64")]
         #[allow(unsafe_code)]
-        SimdTier::Avx2 | SimdTier::Avx2Fma if tier.is_available() => {
+        SimdTier::Avx2 if tier.is_available() => {
             // SAFETY: guarded by the runtime availability check above.
             unsafe { crate::simd::gemm_q8_avx2(x, w, out, k, units) }
         }
@@ -347,7 +346,7 @@ fn requant_batch(
     match (activation, tier) {
         #[cfg(target_arch = "x86_64")]
         #[allow(unsafe_code)]
-        (Activation::Relu, SimdTier::Avx2 | SimdTier::Avx2Fma) if tier.is_available() => {
+        (Activation::Relu, SimdTier::Avx2) if tier.is_available() => {
             // SAFETY: guarded by the runtime availability check above.
             unsafe { crate::simd::requant_relu_avx2(accs, bias, dequant, inv_next, &mut out) }
         }

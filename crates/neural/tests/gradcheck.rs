@@ -243,20 +243,17 @@ fn gradients_hold_under_parallelism() {
 }
 
 /// The grids above run through whatever tier [`SimdTier::detect`] picks —
-/// on x86-64 that is a SIMD tier, so the analytic-vs-numeric comparison
-/// exercises the vectorized kernels, not just scalar. This test pins that
-/// assumption (it would silently weaken if detection ever regressed to
-/// scalar) and re-runs a case under worker-pool fan-out.
+/// on an AVX2 host that is the SIMD tier, so the analytic-vs-numeric
+/// comparison exercises the vectorized kernels, not just scalar. This test
+/// pins that assumption (it would silently weaken if detection ever
+/// regressed to scalar) and re-runs a case under worker-pool fan-out.
 #[test]
 fn gradcheck_exercises_the_simd_path() {
-    #[cfg(target_arch = "x86_64")]
-    {
-        use jarvis_neural::SimdTier;
-        assert!(
-            SimdTier::detect() != SimdTier::Scalar,
-            "x86-64 always has at least SSE2; gradcheck must cover a SIMD tier"
-        );
-    }
+    use jarvis_neural::SimdTier;
+    assert!(
+        !SimdTier::Avx2.is_available() || SimdTier::detect() == SimdTier::Avx2,
+        "an AVX2 host must detect the AVX2 tier; gradcheck must cover it"
+    );
     let case = Case {
         hidden_act: Activation::LeakyRelu,
         head_act: Activation::Linear,

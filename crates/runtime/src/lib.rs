@@ -8,7 +8,7 @@
 //! / [`ServingRuntime::ingest_fleet_day`], optionally corrupted by a
 //! [`FaultInjector`](jarvis_sim::FaultInjector) at the ingest boundary),
 //! places homes onto `N` worker shards with deterministic load-aware bin
-//! packing (see [`Placement`]), routes envelopes over lock-free bounded
+//! packing (see [`ServingRuntime::shard_of`]), routes envelopes over lock-free bounded
 //! [`jarvis_stdkit::sync::StealQueue`](jarvis_stdkit::sync::StealQueue)
 //! ingest rings, and answers three kinds of events:
 //!
@@ -84,8 +84,7 @@ pub use policy_store::{
     PolicyStore, PolicyVersion, ShadowGates, ShadowRow, ShadowScore, SwapPoint, SwapRecord,
 };
 pub use runtime::{
-    IngestReport, Placement, RuntimeConfig, RuntimeSnapshot, ServeReport, ServingRuntime,
-    ShardSnapshot,
+    IngestReport, RuntimeConfig, RuntimeSnapshot, ServeReport, ServingRuntime, ShardSnapshot,
 };
 pub use slot::{HomeSlot, HomeSnapshot};
 pub use supervisor::{

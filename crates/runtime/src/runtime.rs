@@ -26,22 +26,6 @@ use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
 use std::time::Duration;
 
-/// How homes are assigned to worker shards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Placement {
-    /// Fixed `home_id % shards` routing — placement never moves, whatever
-    /// the load. Kept for comparison benchmarks and hash-stable routing
-    /// experiments.
-    Modulo,
-    /// Load-aware placement: before each serve call the runtime counts the
-    /// stream's events per home and greedily packs homes onto shards,
-    /// heaviest first, always onto the least-loaded shard (longest-
-    /// processing-time-first bin packing). Rebalancing is deterministic —
-    /// ties break by home id and shard index — so the same stream always
-    /// produces the same placement.
-    LoadAware,
-}
-
 /// Configuration of a [`ServingRuntime`].
 ///
 /// (Not `PartialEq`: the `telemetry` field is a function pointer, whose
@@ -63,8 +47,7 @@ pub struct RuntimeConfig {
     pub overload: OverloadPolicy,
     /// Run shards sequentially on the caller's thread instead of spawning
     /// workers. Outputs are bit-identical to threaded serving for any shard
-    /// count, steal schedule, or batching mode; queue bounds and throttling
-    /// do not apply.
+    /// count or batch window; queue bounds and throttling do not apply.
     pub deterministic: bool,
     /// Match mode for safe-transition lookups in the per-home monitors.
     pub match_mode: MatchMode,
@@ -73,20 +56,6 @@ pub struct RuntimeConfig {
     /// make a shard deterministically slower than the router to exercise
     /// the overload paths.
     pub worker_throttle_ns: u64,
-    /// How homes are placed onto shards. Default: [`Placement::LoadAware`].
-    pub placement: Placement,
-    /// Close a batch as soon as the shard's ingest ring runs dry instead of
-    /// holding parked queries until the window fills (threaded mode only;
-    /// the deterministic path has no queue to drain). Default `true` — this
-    /// is what keeps tail latency flat when a shard's share of the stream
-    /// arrives slower than `batch_window` events at a time. Cannot change
-    /// any decision: batch boundaries only group pure per-row forwards.
-    pub adaptive_batching: bool,
-    /// Stride of the fixed steal schedule: shard `i` tries victims `i +
-    /// stride`, `i + 2·stride`, … (mod `shards`). 1 = ring order. The
-    /// schedule permutes who steals from whom first; outputs are invariant
-    /// because stolen batches are pure.
-    pub steal_stride: usize,
     /// Injectable telemetry clock for decision latencies (monotonic
     /// nanoseconds). `None` (the default) makes serving perform zero
     /// wall-clock calls — timing is not part of the determinism contract,
@@ -97,8 +66,7 @@ pub struct RuntimeConfig {
 
 impl RuntimeConfig {
     /// Defaults: `queue_capacity` 256, `batch_window` 16, blocking
-    /// backpressure, threaded execution, exact-match monitoring,
-    /// load-aware placement, adaptive batching, steal stride 1.
+    /// backpressure, threaded execution, exact-match monitoring.
     #[must_use]
     pub fn new(shards: usize) -> Self {
         RuntimeConfig {
@@ -109,9 +77,6 @@ impl RuntimeConfig {
             deterministic: false,
             match_mode: MatchMode::Exact,
             worker_throttle_ns: 0,
-            placement: Placement::LoadAware,
-            adaptive_batching: true,
-            steal_stride: 1,
             telemetry: None,
         }
     }
@@ -125,9 +90,6 @@ impl RuntimeConfig {
         }
         if self.batch_window == 0 {
             return Err(JarvisError::Config("batch window must be at least 1".into()));
-        }
-        if self.steal_stride == 0 {
-            return Err(JarvisError::Config("steal stride must be at least 1".into()));
         }
         Ok(())
     }
@@ -246,8 +208,7 @@ pub struct ServingRuntime {
     quantized: Option<QuantizedPolicy>,
     homes: BTreeMap<u64, HomeSlot>,
     /// Current home → shard placement. Seeded modulo at registration,
-    /// deterministically rebalanced per serve call under
-    /// [`Placement::LoadAware`].
+    /// deterministically rebalanced per serve call (see `rebalance`).
     assignments: BTreeMap<u64, usize>,
     next_seq: u64,
     /// Continual-learning configuration; `None` until
@@ -422,9 +383,9 @@ impl ServingRuntime {
         self.homes.get(&id)
     }
 
-    /// The shard that currently owns home `id`. Under
-    /// [`Placement::LoadAware`] this reflects the placement of the most
-    /// recent serve call (modulo before the first one); unknown ids fall
+    /// The shard that currently owns home `id`: the load-aware placement
+    /// of the most recent serve call (modulo before the first one); unknown
+    /// ids fall
     /// back to modulo routing so their events still reach a shard that can
     /// reject them loudly.
     #[must_use]
@@ -436,42 +397,32 @@ impl ServingRuntime {
     }
 
     /// Recompute the home → shard placement for a stream about to be
-    /// served. Under [`Placement::Modulo`] this pins `id % shards`. Under
-    /// [`Placement::LoadAware`] it runs deterministic LPT bin packing:
-    /// homes sorted by event count descending (id ascending on ties), each
-    /// assigned to the least-loaded shard (lowest index on ties) weighted
-    /// by `events + 1`, so idle homes still spread across shards for
-    /// snapshot partitioning.
+    /// served: deterministic longest-processing-time-first bin packing.
+    /// Homes sorted by event count descending (id ascending on ties) are
+    /// each assigned to the least-loaded shard (lowest index on ties)
+    /// weighted by `events + 1`, so idle homes still spread across shards
+    /// for snapshot partitioning. The same stream always produces the same
+    /// placement.
     fn rebalance(&mut self, events: &[Envelope]) {
-        let shards = self.config.shards as u64;
-        match self.config.placement {
-            Placement::Modulo => {
-                self.assignments =
-                    self.homes.keys().map(|&id| (id, (id % shards) as usize)).collect();
+        let mut counts: BTreeMap<u64, u64> = self.homes.keys().map(|&id| (id, 0u64)).collect();
+        for env in events {
+            if let Some(count) = counts.get_mut(&env.home) {
+                *count += 1;
             }
-            Placement::LoadAware => {
-                let mut counts: BTreeMap<u64, u64> =
-                    self.homes.keys().map(|&id| (id, 0u64)).collect();
-                for env in events {
-                    if let Some(count) = counts.get_mut(&env.home) {
-                        *count += 1;
-                    }
-                }
-                let mut order: Vec<(u64, u64)> =
-                    counts.into_iter().map(|(id, count)| (count, id)).collect();
-                order.sort_by_key(|&(count, id)| (std::cmp::Reverse(count), id));
-                let mut loads = vec![0u64; self.config.shards];
-                self.assignments.clear();
-                for (count, id) in order {
-                    let shard = loads
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|&(idx, &load)| (load, idx))
-                        .map_or(0, |(idx, _)| idx);
-                    loads[shard] += count + 1;
-                    self.assignments.insert(id, shard);
-                }
-            }
+        }
+        let mut order: Vec<(u64, u64)> =
+            counts.into_iter().map(|(id, count)| (count, id)).collect();
+        order.sort_by_key(|&(count, id)| (std::cmp::Reverse(count), id));
+        let mut loads = vec![0u64; self.config.shards];
+        self.assignments.clear();
+        for (count, id) in order {
+            let shard = loads
+                .iter()
+                .enumerate()
+                .min_by_key(|&(idx, &load)| (load, idx))
+                .map_or(0, |(idx, _)| idx);
+            loads[shard] += count + 1;
+            self.assignments.insert(id, shard);
         }
     }
 
@@ -1211,8 +1162,6 @@ impl ServingRuntime {
 
         let view = PolicyView::new(&self.policy, self.quantized.as_ref(), shadow);
         let batch_window = self.config.batch_window;
-        let adaptive = self.config.adaptive_batching;
-        let stride = self.config.steal_stride;
         let throttle = Duration::from_nanos(self.config.worker_throttle_ns);
         let capacity = self.config.queue_capacity;
         let overload = self.config.overload;
@@ -1233,8 +1182,6 @@ impl ServingRuntime {
                         part,
                         view,
                         batch_window,
-                        adaptive,
-                        stride,
                         throttle,
                         telemetry,
                         shared,

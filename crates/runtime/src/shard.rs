@@ -131,28 +131,12 @@ impl WorkerShared {
     }
 }
 
-/// The fixed victim order for shard `idx` among `shards` shards: `idx +
-/// stride`, `idx + 2·stride`, … (mod `shards`), then any shard the stride
-/// skipped (non-coprime strides), in ascending order. Deriving the order
-/// from the shard id keeps every run's steal *schedule* reproducible; the
-/// steal *timing* does not matter because stolen batches are pure.
-pub(crate) fn steal_order(idx: usize, shards: usize, stride: usize) -> Vec<usize> {
-    let mut order = Vec::with_capacity(shards.saturating_sub(1));
-    let mut seen = vec![false; shards];
-    seen[idx] = true;
-    for k in 1..shards {
-        let victim = (idx + k * stride) % shards;
-        if !seen[victim] {
-            seen[victim] = true;
-            order.push(victim);
-        }
-    }
-    for (victim, covered) in seen.iter().enumerate() {
-        if !covered {
-            order.push(victim);
-        }
-    }
-    order
+/// The fixed victim order for shard `idx` among `shards` shards: ring
+/// order `idx + 1`, `idx + 2`, … (mod `shards`). Deriving the order from
+/// the shard id keeps every run's steal *schedule* reproducible; the steal
+/// *timing* does not matter because stolen batches are pure.
+fn steal_order(idx: usize, shards: usize) -> Vec<usize> {
+    (1..shards).map(|k| (idx + k) % shards).collect()
 }
 
 /// Apply one event to its slot: actions are monitor-checked, sensors step
@@ -374,41 +358,34 @@ impl Drop for ExitGuard<'_> {
 }
 
 /// The threaded work-stealing worker loop for shard `idx`.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_worker(
     idx: usize,
     slots: &mut BTreeMap<u64, HomeSlot>,
     view: PolicyView<'_>,
     batch_window: usize,
-    adaptive: bool,
-    stride: usize,
     throttle: Duration,
     clock: Option<fn() -> u64>,
     shared: &WorkerShared,
 ) -> Result<ShardOutput, JarvisError> {
     let mut guard = ExitGuard { done: &shared.done[idx], abort: &shared.abort, clean: false };
-    let result =
-        worker_loop(idx, slots, view, batch_window, adaptive, stride, throttle, clock, shared);
+    let result = worker_loop(idx, slots, view, batch_window, throttle, clock, shared);
     guard.clean = result.is_ok();
     drop(guard);
     result
 }
 
-#[allow(clippy::too_many_arguments)]
 fn worker_loop(
     idx: usize,
     slots: &mut BTreeMap<u64, HomeSlot>,
     view: PolicyView<'_>,
     batch_window: usize,
-    adaptive: bool,
-    stride: usize,
     throttle: Duration,
     clock: Option<fn() -> u64>,
     shared: &WorkerShared,
 ) -> Result<ShardOutput, JarvisError> {
     let ingest = &shared.ingest[idx];
     let run_queue = &shared.tasks[idx];
-    let victims = steal_order(idx, shared.tasks.len(), stride);
+    let victims = steal_order(idx, shared.tasks.len());
     let mut out = ShardOutput::default();
     let mut pending: Vec<Pending> = Vec::new();
     let mut done_publishing = false;
@@ -431,7 +408,11 @@ fn worker_loop(
 
         // 2. Adaptive close: the ring ran dry with queries parked — answer
         //    them now instead of letting them age until the window fills.
-        if adaptive && !pending.is_empty() {
+        //    This keeps tail latency flat when a shard's share of the
+        //    stream arrives slower than `batch_window` events at a time, and
+        //    cannot change a decision: batch boundaries only group pure
+        //    per-row forwards.
+        if !pending.is_empty() {
             close_batch(run_queue, &mut pending, view, clock, &mut out)?;
             progress = true;
         }

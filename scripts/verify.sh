@@ -69,10 +69,10 @@ if [ "${1:-}" = "--quick" ]; then
     exit 0
 fi
 
-# Static analysis first: determinism, wall-clock, panic-policy, float, and
-# hermeticity line rules plus the token-tree concurrency audit (unsafe,
-# atomic orderings, lock discipline, result discards) over every workspace
-# crate (crates/lint, DESIGN.md §12/§17).
+# Static analysis first: determinism, wall-clock, panic-policy, float,
+# hermeticity, and unwind rules plus the concurrency audit (unsafe, atomic
+# orderings, lock discipline, result discards) over every workspace crate
+# (crates/lint, DESIGN.md §12).
 echo "==> jarvis-lint (R1-R10 over the whole workspace, 500ms budget)"
 build_lint
 ./target/release/jarvis-lint --budget-ms 500
@@ -116,7 +116,7 @@ cargo run -q --release --offline -p jarvis-bench --bin throughput -- --quick --c
 # Fault-matrix smoke: one seed, two drop rates, through the full
 # inject → ingest → learn → detect path (crates/bench robustness harness).
 echo "==> fault-matrix smoke (robustness --quick)"
-cargo run -q --release --offline -p jarvis-bench --bin robustness -- --quick
+cargo run -q --release --offline -p jarvis-bench --bin experiments -- robustness --quick
 
 if [ "${1:-}" = "--bench" ]; then
     for b in fsm neural spl dqn sim miniaction; do
